@@ -37,7 +37,7 @@ def test_ablation_calibration(benchmark, name, engine_name, calibrated):
     engine = H.engine(DATASET, engine_name)
 
     def evaluate():
-        return engine.count(result.jucq, timeout_s=H.EVAL_TIMEOUT_S)
+        return engine.count(result.jucq, budget=H.EVAL_BUDGET)
 
     try:
         answers = benchmark.pedantic(evaluate, rounds=1, iterations=1)
@@ -56,10 +56,10 @@ def test_ablation_calibration_correctness(benchmark):
         same = []
         for name in QUERY_SUBSET:
             with_cal = engine.count(
-                _choose(name, "native-hash", True).jucq, timeout_s=H.EVAL_TIMEOUT_S
+                _choose(name, "native-hash", True).jucq, budget=H.EVAL_BUDGET
             )
             without = engine.count(
-                _choose(name, "native-hash", False).jucq, timeout_s=H.EVAL_TIMEOUT_S
+                _choose(name, "native-hash", False).jucq, budget=H.EVAL_BUDGET
             )
             same.append(with_cal == without)
         return same

@@ -41,7 +41,7 @@ def test_fig10_answering_time(benchmark, name, approach):
         engine = H.engine(DATASET, "native-hash")
 
     def evaluate():
-        return engine.count(planned, timeout_s=H.EVAL_TIMEOUT_S)
+        return engine.count(planned, budget=H.EVAL_BUDGET)
 
     try:
         answers = benchmark.pedantic(evaluate, rounds=1, iterations=1)
@@ -67,7 +67,7 @@ def test_fig10_same_answers(benchmark):
         agreements = []
         for name in QUERY_SUBSET:
             sat = H.saturated_engine(DATASET, "native-hash").count(
-                _entry(name).query, timeout_s=H.EVAL_TIMEOUT_S
+                _entry(name).query, budget=H.EVAL_BUDGET
             )
             ref = H.measure(DATASET, _entry(name), "gcov", "native-hash")
             agreements.append(ref.status == "ok" and ref.answers == sat)
@@ -100,7 +100,7 @@ def main():
             for _ in range(H.BENCH_REPEATS):
                 start = time.perf_counter()
                 try:
-                    engine.count(entry.query, timeout_s=H.EVAL_TIMEOUT_S)
+                    engine.count(entry.query, budget=H.EVAL_BUDGET)
                 except EngineFailure:
                     sat_status = "failed"
                     break

@@ -41,7 +41,7 @@ def test_fig5_answering_time(benchmark, name, strategy, engine_name):
     engine = H.engine(DATASET, engine_name)
 
     def evaluate():
-        return engine.count(planned, timeout_s=H.EVAL_TIMEOUT_S)
+        return engine.count(planned, budget=H.EVAL_BUDGET)
 
     try:
         answers = benchmark.pedantic(evaluate, rounds=1, iterations=1)

@@ -47,7 +47,7 @@ def test_fig9_evaluation_time(benchmark, name, oracle):
     engine = H.engine(DATASET, ENGINE)
 
     def evaluate():
-        return engine.count(result.jucq, timeout_s=H.EVAL_TIMEOUT_S)
+        return engine.count(result.jucq, budget=H.EVAL_BUDGET)
 
     try:
         answers = benchmark.pedantic(evaluate, rounds=1, iterations=1)
@@ -66,10 +66,10 @@ def test_fig9_models_agree_on_answers(benchmark):
         agreements = []
         for name in QUERY_SUBSET:
             paper_count = engine.count(
-                _choose(name, "paper").jucq, timeout_s=H.EVAL_TIMEOUT_S
+                _choose(name, "paper").jucq, budget=H.EVAL_BUDGET
             )
             internal_count = engine.count(
-                _choose(name, "engine-internal").jucq, timeout_s=H.EVAL_TIMEOUT_S
+                _choose(name, "engine-internal").jucq, budget=H.EVAL_BUDGET
             )
             agreements.append(paper_count == internal_count)
         return agreements
@@ -100,7 +100,7 @@ def main():
                 samples_ms = []
                 for _ in range(H.BENCH_REPEATS):
                     start = time.perf_counter()
-                    engine.count(result.jucq, timeout_s=H.EVAL_TIMEOUT_S)
+                    engine.count(result.jucq, budget=H.EVAL_BUDGET)
                     samples_ms.append((time.perf_counter() - start) * 1000)
                 timings[oracle] = samples_ms
                 cells[oracle] = f"{samples_ms[0]:.1f}"

@@ -41,7 +41,7 @@ def test_table2_cover_evaluation(benchmark, label):
     engine = H.engine(DATASET, ENGINE)
 
     def evaluate():
-        return engine.count(jucq, timeout_s=H.EVAL_TIMEOUT_S)
+        return engine.count(jucq, budget=H.EVAL_BUDGET)
 
     try:
         answers = benchmark.pedantic(evaluate, rounds=1, iterations=1)
@@ -59,7 +59,7 @@ def test_table2_all_covers_agree(benchmark):
         engine = H.engine(DATASET, ENGINE)
         counts = set()
         for _, cover in _covers():
-            counts.add(engine.count(_jucq(cover), timeout_s=H.EVAL_TIMEOUT_S))
+            counts.add(engine.count(_jucq(cover), budget=H.EVAL_BUDGET))
         return counts
 
     counts = benchmark.pedantic(check, rounds=1, iterations=1)
@@ -93,7 +93,7 @@ def main():
             for _ in range(H.BENCH_REPEATS):
                 start = time.perf_counter()
                 try:
-                    answers = engine.count(jucq, timeout_s=H.EVAL_TIMEOUT_S)
+                    answers = engine.count(jucq, budget=H.EVAL_BUDGET)
                 except EngineFailure:
                     status = "failed"
                     break

@@ -2,11 +2,14 @@
 
 :class:`QueryAnswerer` ties everything together (the paper's Figure 1
 pipeline): given a BGP query it produces a reformulation under one of
-five strategies, hands it to an evaluation engine, and reports both the
+seven strategies, hands it to an evaluation engine, and reports both the
 answers and the time split between optimization and evaluation.
 
 Strategies
 ----------
+
+Every strategy is one row of :data:`STRATEGY_TABLE`: a plan function
+plus an optional derived-store hook (the store its plans run over).
 
 ``ucq``
     The classic single-union reformulation of prior work.
@@ -33,24 +36,23 @@ Strategies
 
 from __future__ import annotations
 
-import inspect
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..cache.lru import MISSING, LRUCache
 from ..cache.manager import QueryCache
 from ..cost.model import CostModel
-from ..engine.evaluator import AnswerSet, EngineFailure, NativeEngine
+from ..engine.evaluator import AnswerSet, NativeEngine
 from ..optimizer.ecov import ecov
 from ..optimizer.gcov import gcov
 from ..optimizer.search import SearchInfeasible
-from ..parallel import WorkerPool, evaluate_parallel
 from ..query.algebra import JUCQ, ucq_as_jucq
 from ..query.bgp import BGPQuery
 from ..reformulation.jucq import scq_reformulation
 from ..reformulation.litemat import IntervalReformulator
+from ..reformulation.prune import prune_empty_conjuncts
 from ..reformulation.reformulate import ReformulationLimitExceeded, Reformulator
 from ..resilience.budget import ExecutionBudget
 from ..resilience.errors import (
@@ -76,10 +78,6 @@ from ..telemetry import (
     get_registry,
     trajectory,
 )
-
-#: The strategy names accepted by :meth:`QueryAnswerer.answer`.
-STRATEGIES = ("ucq", "pruned-ucq", "scq", "ecov", "gcov", "saturation", "litemat")
-
 
 @dataclass
 class AnswerReport:
@@ -128,34 +126,6 @@ class AnswerReport:
         return len(self.answers)
 
 
-#: Per-engine-class cache: which keyword arguments ``evaluate`` accepts.
-_ENGINE_ACCEPTS: Dict[type, frozenset] = {}
-
-
-def _engine_accepts(engine) -> frozenset:
-    """The keyword parameters ``engine.evaluate`` takes (cached per class).
-
-    Drives graceful degradation for third-party engines: telemetry is
-    only passed when (``tracer``, ``metrics``) exist, and a budget is
-    passed whole when ``budget`` exists, else collapsed to its
-    remaining time as ``timeout_s``.
-    """
-    kind = type(engine)
-    cached = _ENGINE_ACCEPTS.get(kind)
-    if cached is None:
-        try:
-            cached = frozenset(inspect.signature(engine.evaluate).parameters)
-        except (TypeError, ValueError):
-            cached = frozenset()
-        _ENGINE_ACCEPTS[kind] = cached
-    return cached
-
-
-def _engine_supports_telemetry(engine) -> bool:
-    accepted = _engine_accepts(engine)
-    return "tracer" in accepted and "metrics" in accepted
-
-
 class QueryAnswerer:
     """Answer BGP queries over an RDF database, with pluggable strategy."""
 
@@ -171,8 +141,6 @@ class QueryAnswerer:
         cache: Optional[QueryCache] = None,
         budget: Optional[ExecutionBudget] = None,
         fallback: Optional[FallbackPolicy] = None,
-        workers: Optional[int] = None,
-        pool: Optional[WorkerPool] = None,
         registry: Optional[MetricsRegistry] = None,
     ):
         self.database = database
@@ -222,27 +190,15 @@ class QueryAnswerer:
         #: the answerer's lifetime; per-call deltas are folded into each
         #: resilient report's ``metrics``.
         self.resilience_metrics = MetricsRecorder()
-        #: Parallel evaluation (DESIGN.md §11).  An explicit ``pool`` is
-        #: shared, not owned; otherwise ``workers`` sizes an owned pool:
-        #: ``None``/``1`` keep the serial path, ``0`` means one worker
-        #: per CPU, ``N >= 2`` means exactly N workers.
-        if pool is not None:
-            self.pool: Optional[WorkerPool] = pool
-            self._owns_pool = False
-        elif workers is not None and workers != 1:
-            self.pool = WorkerPool(workers if workers else None)
-            self._owns_pool = True
-        else:
-            self.pool = None
-            self._owns_pool = False
         self._breaker: Optional[CircuitBreaker] = None
-        self._saturated_engine = None
-        self._saturated_key = None
-        self._litemat_engine = None
-        self._litemat_key = None
-        #: Guards the lazily-built shared members (saturated engine,
-        #: default breaker) against duplicate construction when
-        #: concurrent callers share one answerer.
+        #: The saturated store with its (schema fingerprint, data epoch)
+        #: key, built on first use by the ``saturation`` row's hook.
+        self._saturated: Optional[Tuple[Tuple[str, int], RDFDatabase]] = None
+        #: Sibling engines over derived stores, keyed by store hook.
+        self._derived_engines: Dict[Callable, Any] = {}
+        #: Guards the lazily-built shared members (saturated store,
+        #: derived engines, default breaker) against duplicate
+        #: construction when concurrent callers share one answerer.
         self._lock = threading.Lock()
         #: Process-lifetime instrument registry (DESIGN.md §12): answer
         #: latency histograms plus runtime-state gauges.  Defaults to
@@ -266,16 +222,6 @@ class QueryAnswerer:
             "repro.reformulator.memo_size",
             lambda: len(self.reformulator.cache),
             help="entries in the reformulator's CQ->UCQ memo",
-        )
-        registry.register_gauge(
-            "repro.worker_pool.max_workers",
-            lambda: 0 if self.pool is None else self.pool.max_workers,
-            help="configured worker-pool width (0 = serial answerer)",
-        )
-        registry.register_gauge(
-            "repro.worker_pool.in_flight",
-            lambda: 0 if self.pool is None else self.pool.in_flight(),
-            help="worker-pool tasks submitted but not yet finished",
         )
         pool_size = getattr(self.engine, "pool_size", None)
         registry.register_gauge(
@@ -380,13 +326,14 @@ class QueryAnswerer:
         *frozen* as ``(type, args)``, never as the live exception object
         (whose ``__traceback__`` would pin every active frame in the LRU
         for the entry's lifetime), and thawed into a fresh instance per
-        hit.  The ``saturation`` strategy plans to the query itself, so
-        there is nothing worth caching; and nothing is *stored* when a
-        deadline budget was active, because the budget is not part of
-        the key — a plan truncated (or a failure caused) by one caller's
-        nearly-spent clock must not be served to the next caller.
+        hit.  A strategy without a plan function evaluates the query
+        itself, so there is nothing worth caching; and nothing is
+        *stored* when a deadline budget was active, because the budget
+        is not part of the key — a plan truncated (or a failure caused)
+        by one caller's nearly-spent clock must not be served to the
+        next caller.
         """
-        if self.cache is None or strategy == "saturation":
+        if self.cache is None or strategy_spec(strategy).plan is None:
             return self._plan(query, strategy, tracer, budget)
         entry = self.cache.get_plan(self.database, query, strategy)
         if entry is not MISSING:
@@ -420,80 +367,97 @@ class QueryAnswerer:
         budget: Optional[ExecutionBudget] = None,
     ):
         tracer = self.tracer if tracer is None else tracer
-        if strategy == "ucq":
-            with tracer.span("reformulate", strategy=strategy) as span:
-                reformulated = self.reformulator.reformulate(query)
-                span.set(union_terms=len(reformulated))
-            return ucq_as_jucq(reformulated), None
-        if strategy == "pruned-ucq":
-            from ..reformulation.prune import prune_empty_conjuncts
-
-            with tracer.span("reformulate", strategy=strategy) as span:
-                reformulated = self.reformulator.reformulate(query)
-                span.set(union_terms=len(reformulated))
-            with tracer.span("prune") as span:
-                pruned = prune_empty_conjuncts(
-                    reformulated, self.cost_model.estimator
-                )
-                span.set(union_terms=len(pruned))
-            return ucq_as_jucq(pruned), None
-        if strategy == "scq":
-            with tracer.span("reformulate", strategy=strategy) as span:
-                if len(query.body) == 1:
-                    planned = ucq_as_jucq(self.reformulator.reformulate(query))
-                else:
-                    planned = scq_reformulation(query, self.reformulator)
-                span.set(union_terms=planned.total_union_terms())
-            return planned, None
-        if strategy in ("ecov", "gcov"):
-            search_trace = [] if tracer.enabled else None
-            with tracer.span("cover-search", algorithm=strategy) as span:
-                if strategy == "ecov":
-                    result = ecov(
-                        query,
-                        self.reformulator,
-                        self.cost_model.cost,
-                        max_covers=self.ecov_max_covers,
-                        trace=search_trace,
-                        budget=budget,
-                    )
-                else:
-                    result = gcov(
-                        query,
-                        self.reformulator,
-                        self.cost_model.cost,
-                        trace=search_trace,
-                        budget=budget,
-                    )
-                span.set(
-                    covers_explored=result.covers_explored,
-                    estimated_cost=result.estimated_cost,
-                )
-            if search_trace:
-                tracer.record(
-                    "search",
-                    {
-                        "algorithm": strategy,
-                        "query": query.name,
-                        "covers_explored": result.covers_explored,
-                        "best_cost": result.estimated_cost,
-                        "trajectory": trajectory(search_trace),
-                    },
-                )
-            return result.jucq, result
-        if strategy == "saturation":
+        plan = strategy_spec(strategy).plan
+        if plan is None:
             return query, None
-        if strategy == "litemat":
-            with tracer.span("reformulate", strategy=strategy) as span:
-                encoding, _store, epoch = self.interval_assigner.current(
-                    self.database
-                )
-                reformulated = self.interval_reformulator.reformulate(
-                    query, encoding, epoch
-                )
-                span.set(union_terms=len(reformulated))
-            return ucq_as_jucq(reformulated), None
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+        return plan(self, query, tracer, budget)
+
+    # Plan functions: one per reformulating row of STRATEGY_TABLE.  The
+    # cover searches call ``ecov``/``gcov`` through this module's
+    # globals at call time, so wrapping them (as profilers do) counts.
+    def _reformulate(self, query: BGPQuery, tracer, strategy: str):
+        with tracer.span("reformulate", strategy=strategy) as span:
+            reformulated = self.reformulator.reformulate(query)
+            span.set(union_terms=len(reformulated))
+        return reformulated
+
+    def _plan_ucq(self, query: BGPQuery, tracer, budget):
+        return ucq_as_jucq(self._reformulate(query, tracer, "ucq")), None
+
+    def _plan_pruned_ucq(self, query: BGPQuery, tracer, budget):
+        reformulated = self._reformulate(query, tracer, "pruned-ucq")
+        with tracer.span("prune") as span:
+            pruned = prune_empty_conjuncts(reformulated, self.cost_model.estimator)
+            span.set(union_terms=len(pruned))
+        return ucq_as_jucq(pruned), None
+
+    def _plan_scq(self, query: BGPQuery, tracer, budget):
+        with tracer.span("reformulate", strategy="scq") as span:
+            if len(query.body) == 1:
+                planned = ucq_as_jucq(self.reformulator.reformulate(query))
+            else:
+                planned = scq_reformulation(query, self.reformulator)
+            span.set(union_terms=planned.total_union_terms())
+        return planned, None
+
+    def _plan_ecov(self, query: BGPQuery, tracer, budget):
+        return self._search_covers(
+            query,
+            tracer,
+            "ecov",
+            lambda trace: ecov(
+                query,
+                self.reformulator,
+                self.cost_model.cost,
+                max_covers=self.ecov_max_covers,
+                trace=trace,
+                budget=budget,
+            ),
+        )
+
+    def _plan_gcov(self, query: BGPQuery, tracer, budget):
+        return self._search_covers(
+            query,
+            tracer,
+            "gcov",
+            lambda trace: gcov(
+                query,
+                self.reformulator,
+                self.cost_model.cost,
+                trace=trace,
+                budget=budget,
+            ),
+        )
+
+    def _search_covers(self, query: BGPQuery, tracer, algorithm: str, search):
+        search_trace = [] if tracer.enabled else None
+        with tracer.span("cover-search", algorithm=algorithm) as span:
+            result = search(search_trace)
+            span.set(
+                covers_explored=result.covers_explored,
+                estimated_cost=result.estimated_cost,
+            )
+        if search_trace:
+            tracer.record(
+                "search",
+                {
+                    "algorithm": algorithm,
+                    "query": query.name,
+                    "covers_explored": result.covers_explored,
+                    "best_cost": result.estimated_cost,
+                    "trajectory": trajectory(search_trace),
+                },
+            )
+        return result.jucq, result
+
+    def _plan_litemat(self, query: BGPQuery, tracer, budget):
+        with tracer.span("reformulate", strategy="litemat") as span:
+            encoding, _store, epoch = self.interval_assigner.current(self.database)
+            reformulated = self.interval_reformulator.reformulate(
+                query, encoding, epoch
+            )
+            span.set(union_terms=len(reformulated))
+        return ucq_as_jucq(reformulated), None
 
     # ------------------------------------------------------------------
     # Answering
@@ -531,6 +495,7 @@ class QueryAnswerer:
         errors); classification and recovery live in
         :meth:`answer_resilient`.
         """
+        spec = strategy_spec(strategy)
         tracer = self.tracer if tracer is None else tracer
         verify = self.verify_ir if verify_ir is None else verify_ir
         if record_accuracy is None:
@@ -562,7 +527,7 @@ class QueryAnswerer:
             if (
                 budget is not None
                 and budget.max_union_terms is not None
-                and strategy != "saturation"
+                and spec.plan is not None
             ):
                 planned_terms = planned.total_union_terms()
                 if planned_terms > budget.max_union_terms:
@@ -572,50 +537,14 @@ class QueryAnswerer:
                         f"max_union_terms={budget.max_union_terms}"
                     )
             optimization_s = time.perf_counter() - start
-            engine = self._engine_for(strategy)
+            engine = self.engine_for(strategy)
             start = time.perf_counter()
             with tracer.span(
                 "evaluate", engine=getattr(engine, "name", type(engine).__name__)
             ) as eval_span:
-                if self.pool is not None and isinstance(planned, JUCQ):
-                    # Parallel path (DESIGN.md §11): batches of the
-                    # reformulation spread over the shared worker pool.
-                    # Result caps, cancellation and the exception
-                    # taxonomy all match the serial path.
-                    eval_span.set(parallel=True, workers=self.pool.max_workers)
-                    answers = evaluate_parallel(
-                        engine,
-                        planned,
-                        self.pool,
-                        timeout_s=timeout_s,
-                        tracer=tracer,
-                        metrics=metrics,
-                        budget=budget,
-                    )
-                else:
-                    accepted = _engine_accepts(engine)
-                    kwargs: Dict[str, Any] = {}
-                    if "tracer" in accepted and "metrics" in accepted:
-                        kwargs.update(tracer=tracer, metrics=metrics)
-                    if budget is not None and "budget" in accepted:
-                        kwargs["budget"] = budget
-                    else:
-                        # Legacy engines: collapse the budget to its
-                        # remaining clock, enforce the row cap below.
-                        kwargs["timeout_s"] = (
-                            timeout_s if budget is None else budget.remaining_s()
-                        )
-                    answers = engine.evaluate(planned, **kwargs)
-                    if (
-                        budget is not None
-                        and "budget" not in accepted
-                        and budget.max_result_rows is not None
-                        and len(answers) > budget.max_result_rows
-                    ):
-                        raise EngineFailure(
-                            f"result of {len(answers)} rows exceeds the "
-                            f"budget's max_result_rows={budget.max_result_rows}"
-                        )
+                answers = engine.evaluate(
+                    planned, budget=budget, tracer=tracer, metrics=metrics
+                )
                 eval_span.set(answers=len(answers))
             evaluation_s = time.perf_counter() - start
             root.set(answers=len(answers))
@@ -646,13 +575,13 @@ class QueryAnswerer:
         predicted_cost = None
         predicted_rows = None
         accuracy = AccuracyRecorder()
-        if record_accuracy and strategy not in ("saturation", "litemat"):
+        if record_accuracy and spec.store is None:
             predicted_cost, predicted_rows = self._record_accuracy(
                 accuracy, query, planned, metrics, evaluation_s, len(answers)
             )
             for sample in accuracy.records:
                 tracer.record("accuracy", sample.to_dict())
-        terms = 0 if strategy == "saturation" else planned.total_union_terms()
+        terms = 0 if spec.plan is None else planned.total_union_terms()
         return AnswerReport(
             query=query,
             strategy=strategy,
@@ -860,10 +789,10 @@ class QueryAnswerer:
     ):
         """Sample predicted-vs-observed for the query and its operands.
 
-        The saturation and litemat strategies are excluded by the
-        caller: their engines run over a *derived* store while the cost
-        model is bound to the original one, so the comparison would be
-        meaningless.
+        Strategies with a derived-store hook (saturation, litemat) are
+        excluded by the caller: their engines run over a *derived* store
+        while the cost model is bound to the original one, so the
+        comparison would be meaningless.
         """
         estimator = self.cost_model.estimator
         predicted_cost = self.cost_model.cost(planned)
@@ -892,72 +821,87 @@ class QueryAnswerer:
                 )
         return predicted_cost, predicted_rows
 
-    def _engine_for(self, strategy: str):
-        if strategy == "litemat":
-            # The interval-encoded store is a derived artifact exactly
-            # like the saturated one; the assigner rebuilds it (and
-            # bumps its epoch) whenever the schema or the data mutated,
-            # so a stale engine is never served.
-            _encoding, store, epoch = self.interval_assigner.current(self.database)
-            with self._lock:
-                if self._litemat_engine is None or self._litemat_key != epoch:
-                    factory = getattr(self.engine, "for_database", None)
-                    if factory is not None:
-                        self._litemat_engine = factory(store)
-                    else:
-                        self._litemat_engine = type(self.engine)(
-                            store, *self._engine_extra_args()
-                        )
-                    self._litemat_key = epoch
-                return self._litemat_engine
-        if strategy != "saturation":
-            return self.engine
-        # The saturated store is a derived artifact: rebuild it whenever
-        # the schema or the data has mutated since it was computed.  The
-        # lock keeps concurrent first-callers from saturating the store
-        # twice (and from publishing a half-built engine).
-        current = (self.database.schema.fingerprint(), self.database.epoch)
-        with self._lock:
-            if self._saturated_engine is None or self._saturated_key != current:
-                saturated_db = self.database.saturated()
-                factory = getattr(self.engine, "for_database", None)
-                if factory is not None:
-                    # The engine protocol's way to derive a sibling over
-                    # another store — decorators (chaos) decide here
-                    # whether the derived engine is wrapped.
-                    self._saturated_engine = factory(saturated_db)
-                else:
-                    self._saturated_engine = type(self.engine)(
-                        saturated_db, *self._engine_extra_args()
-                    )
-                self._saturated_key = current
-            return self._saturated_engine
+    # ------------------------------------------------------------------
+    # Derived stores
+    # ------------------------------------------------------------------
+    def store_for(self, strategy: str) -> RDFDatabase:
+        """The database ``strategy``'s plans are evaluated over: the
+        answerer's own, or the derived store of the row's hook."""
+        hook = strategy_spec(strategy).store
+        return self.database if hook is None else hook(self)
 
-    def _engine_extra_args(self):
-        profile = getattr(self.engine, "profile", None)
-        return (profile,) if profile is not None else ()
+    def engine_for(self, strategy: str):
+        """The engine that evaluates ``strategy``'s plans.
 
-    def close(self) -> None:
-        """Release owned resources (the worker pool, when this answerer
-        created it from ``workers=``; a shared ``pool=`` is left alone).
-
-        Idempotent and safe under concurrent callers: the service's
-        drain path may call it from a signal handler while another
-        thread is already closing.  Exactly one caller wins the claim
-        under the lock and performs the (blocking) shutdown outside it;
-        everyone else sees nothing left to release and returns.
+        Over a derived store it is a sibling of :attr:`engine` made by
+        ``engine.for_database`` — decorators (chaos) decide there
+        whether the sibling is wrapped — and rebuilt whenever the hook
+        publishes a new store, so a stale engine is never served.
         """
+        hook = strategy_spec(strategy).store
+        if hook is None:
+            return self.engine
+        store = hook(self)
         with self._lock:
-            pool = self.pool
-            owned = self._owns_pool
-            if owned:
-                self.pool = None
-                self._owns_pool = False
-        if owned and pool is not None:
-            pool.shutdown()
+            engine = self._derived_engines.get(hook)
+            if engine is None or engine.database is not store:
+                engine = self.engine.for_database(store)
+                self._derived_engines[hook] = engine
+            return engine
 
-    def __enter__(self) -> "QueryAnswerer":
-        return self
+    def _saturated_store(self) -> RDFDatabase:
+        """The saturated store, rebuilt whenever the schema or the data
+        mutated since it was computed.  The lock keeps concurrent
+        first-callers from saturating the store twice."""
+        key = (self.database.schema.fingerprint(), self.database.epoch)
+        with self._lock:
+            if self._saturated is None or self._saturated[0] != key:
+                self._saturated = (key, self.database.saturated())
+            return self._saturated[1]
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def _interval_store(self) -> RDFDatabase:
+        """The interval-encoded store (DESIGN.md §16); the assigner
+        rebuilds it, and bumps its epoch, on schema or data mutation."""
+        return self.interval_assigner.current(self.database)[1]
+
+
+@dataclass(frozen=True)
+class StrategySpec:
+    """One row of :data:`STRATEGY_TABLE`.
+
+    ``plan`` turns a query into ``(planned_query, search_or_None)``;
+    ``None`` means the query itself is evaluated, unreformulated.
+    ``store`` is the derived-store hook: ``None`` evaluates over the
+    answerer's own database, otherwise it returns the derived store
+    (saturated or interval-encoded) the plans run over.
+    """
+
+    plan: Optional[Callable[..., Tuple[Any, Any]]]
+    store: Optional[Callable[[QueryAnswerer], RDFDatabase]] = None
+
+
+#: The strategy table: the one place strategy names map to behaviour.
+STRATEGY_TABLE: Dict[str, StrategySpec] = {
+    "ucq": StrategySpec(QueryAnswerer._plan_ucq),
+    "pruned-ucq": StrategySpec(QueryAnswerer._plan_pruned_ucq),
+    "scq": StrategySpec(QueryAnswerer._plan_scq),
+    "ecov": StrategySpec(QueryAnswerer._plan_ecov),
+    "gcov": StrategySpec(QueryAnswerer._plan_gcov),
+    "saturation": StrategySpec(None, QueryAnswerer._saturated_store),
+    "litemat": StrategySpec(
+        QueryAnswerer._plan_litemat, QueryAnswerer._interval_store
+    ),
+}
+
+#: The strategy names accepted by :meth:`QueryAnswerer.answer`.
+STRATEGIES = tuple(STRATEGY_TABLE)
+
+
+def strategy_spec(strategy: str) -> StrategySpec:
+    """The table row for ``strategy``; ``ValueError`` when unknown."""
+    spec = STRATEGY_TABLE.get(strategy)
+    if spec is None:
+        raise ValueError(
+            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
+        )
+    return spec

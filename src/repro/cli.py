@@ -159,17 +159,6 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="evaluate reformulation batches on N pool workers "
-        "(0 = one per CPU; default: serial; DESIGN.md §11)",
-    )
-
-
 def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fallback",
@@ -251,14 +240,11 @@ def _answerer(
     engine_kind: str,
     verify_ir: bool = False,
     cache: Optional[QueryCache] = None,
-    workers: Optional[int] = None,
 ) -> QueryAnswerer:
     engine = (
         SQLiteEngine(database) if engine_kind == "sqlite" else NativeEngine(database)
     )
-    return QueryAnswerer(
-        database, engine=engine, verify_ir=verify_ir, cache=cache, workers=workers
-    )
+    return QueryAnswerer(database, engine=engine, verify_ir=verify_ir, cache=cache)
 
 
 # ----------------------------------------------------------------------
@@ -304,11 +290,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     parse_s = time.perf_counter() - parse_start
     cache = QueryCache() if args.cache else None
     answerer = _answerer(
-        database,
-        args.engine,
-        verify_ir=args.verify_ir,
-        cache=cache,
-        workers=args.workers,
+        database, args.engine, verify_ir=args.verify_ir, cache=cache
     )
     _print_lint_findings(lint_query(query, database=database))
     budget = _budget_from_args(args)
@@ -397,7 +379,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         args.engine,
         verify_ir=args.verify_ir,
         cache=QueryCache() if args.cache else None,
-        workers=args.workers,
     )
     _print_lint_findings(lint_query(query, database=database))
     budget = _budget_from_args(args)
@@ -498,13 +479,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
         print(f"cover: {format_cover(query, search.cover)}")
         print(f"covers explored: {search.covers_explored}")
         print(f"estimated cost: {search.estimated_cost:.6f}")
-    if args.strategy != "saturation":
+    if planned is not query:
         print(f"union terms: {planned.total_union_terms()}")
-    # The litemat plan embeds interval codes of the derived store, so
-    # SQL and plan estimates must be rendered against it (DESIGN.md §16).
-    explain_db = database
-    if args.strategy == "litemat":
-        _encoding, explain_db, _epoch = answerer.interval_assigner.current(database)
+    # Plans run over the strategy's derived store when it has one
+    # (saturated, interval-encoded), so SQL and plan estimates must be
+    # rendered against that store (DESIGN.md §16).
+    explain_db = answerer.store_for(args.strategy)
     if args.sql:
         print("\n-- SQL --")
         print(to_sql(planned, explain_db.dictionary))
@@ -767,7 +747,7 @@ def _print_runtime_state(answerer: QueryAnswerer) -> None:
 
     Covers the runtime occupancy the counters can't show: SQLite
     connection-pool size, circuit-breaker circuits by state, the
-    reformulator memo, worker-pool width, and cache level fills.
+    reformulator memo, and cache level fills.
     """
     print("\n== runtime state ==")
     for sample in answerer.registry.gauge_samples():
@@ -840,9 +820,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         )
         chaos = ChaosEngine(engine, config)
         chaos.sleeper = lambda _s: None
-        answerer = QueryAnswerer(
-            database, engine=chaos, fallback=policy, workers=args.workers
-        )
+        answerer = QueryAnswerer(database, engine=chaos, fallback=policy)
         answerer.reformulator.limit = args.limit
         degraded = 0
         for name, query in queries:
@@ -1213,7 +1191,6 @@ def build_parser() -> argparse.ArgumentParser:
     query = commands.add_parser("query", help="answer a query over a dataset")
     _add_query_arguments(query)
     _add_resilience_arguments(query)
-    _add_workers_argument(query)
     query.add_argument("--timeout", type=float, default=None, help="seconds")
     query.add_argument(
         "--trace", metavar="FILE", help="export a JSON-lines telemetry trace"
@@ -1237,7 +1214,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_query_arguments(profile)
     _add_resilience_arguments(profile)
-    _add_workers_argument(profile)
     profile.add_argument("--timeout", type=float, default=None, help="seconds")
     profile.add_argument(
         "--trace", metavar="FILE", help="export a JSON-lines telemetry trace"
@@ -1456,7 +1432,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = commands.add_parser(
         "chaos", help="differential fault-injection run (DESIGN.md §10)"
     )
-    _add_workers_argument(chaos)
     chaos.add_argument("data", help="N-Triples file (constraints + facts)")
     chaos.add_argument(
         "-q", "--query", action="append", default=[], help="SPARQL BGP text (repeatable)"

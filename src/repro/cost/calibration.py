@@ -127,18 +127,23 @@ def calibrate(
 ) -> CostConstants:
     """Fit :class:`CostConstants` for ``engine`` over ``database``.
 
-    ``engine`` is anything with ``evaluate(query, timeout_s=...)``
-    (native or SQLite).  Probes that fail or time out are skipped.
+    ``engine`` is anything with ``evaluate(query, budget=...)`` (native
+    or SQLite); each probe runs under a fresh ``timeout_s`` deadline.
+    Probes that fail or time out are skipped.
     """
     estimator = CardinalityEstimator(database)
     rows: List[np.ndarray] = []
     times: List[float] = []
     from ..engine.evaluator import EngineFailure
+    from ..resilience.budget import ExecutionBudget
 
     for probe in _probe_queries(database):
         try:
             elapsed = _time_call(
-                lambda: engine.evaluate(probe, timeout_s=timeout_s), repeats
+                lambda: engine.evaluate(
+                    probe, budget=ExecutionBudget(timeout_s=timeout_s)
+                ),
+                repeats,
             )
         except EngineFailure:
             continue

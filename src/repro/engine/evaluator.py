@@ -99,30 +99,20 @@ NATIVE_MERGE = EngineProfile(name="native-merge", join_algorithm="merge",
 class _Deadline:
     """Cooperative budget checkpoint between operator steps.
 
-    Wraps either a bare ``timeout_s`` (the legacy API) or an
-    :class:`repro.resilience.ExecutionBudget`-shaped object (duck-typed
-    so this hot-path module depends on nothing above it): something
-    with ``start()``, ``expired``, ``row_limit(engine_limit)``,
-    ``union_limit(engine_limit)`` and ``max_result_rows``.  When both
-    are given, the shared budget wins — that is the whole point of a
-    budget.
+    Wraps an :class:`repro.resilience.ExecutionBudget`-shaped object
+    (duck-typed: ``repro.resilience`` imports this module, so importing
+    it back would be circular): something with ``start()``,
+    ``expired``, ``row_limit(engine_limit)``,
+    ``union_limit(engine_limit)`` and ``max_result_rows``.  ``None``
+    means unlimited.
     """
 
-    __slots__ = ("expires_at", "budget")
+    __slots__ = ("budget",)
 
-    def __init__(self, seconds: Optional[float] = None, budget=None):
-        if budget is not None:
-            self.budget = budget.start()
-            self.expires_at = None
-        else:
-            self.budget = None
-            self.expires_at = (
-                None if seconds is None else time.perf_counter() + seconds
-            )
+    def __init__(self, budget=None):
+        self.budget = None if budget is None else budget.start()
 
     def check(self) -> None:
-        if self.expires_at is not None and time.perf_counter() > self.expires_at:
-            raise EngineTimeout("query evaluation timed out")
         if self.budget is not None and self.budget.expired:
             raise EngineTimeout("query evaluation exceeded its budget deadline")
 
@@ -170,16 +160,14 @@ class NativeEngine:
     def evaluate(
         self,
         query,
-        timeout_s: Optional[float] = None,
+        budget=None,
         tracer=None,
         metrics: Optional[MetricsRecorder] = None,
-        budget=None,
     ) -> AnswerSet:
         """Evaluate and decode: a set of tuples of RDF terms."""
         started = time.perf_counter()
         relation = self.evaluate_relation(
-            query, timeout_s=timeout_s, tracer=tracer, metrics=metrics,
-            budget=budget,
+            query, budget=budget, tracer=tracer, metrics=metrics
         )
         decode = self.database.dictionary.decode
         answers = frozenset(
@@ -195,19 +183,18 @@ class NativeEngine:
     def evaluate_relation(
         self,
         query,
-        timeout_s: Optional[float] = None,
+        budget=None,
         tracer=None,
         metrics: Optional[MetricsRecorder] = None,
-        budget=None,
     ) -> Relation:
         """Evaluate to an encoded relation (one column per head position).
 
         ``budget`` is an :class:`repro.resilience.ExecutionBudget`
         (shared deadline plus row/term caps tightened against the
-        profile's own limits); when given, ``timeout_s`` is ignored.
+        profile's own limits).
         """
         tracer = NULL_TRACER if tracer is None else tracer
-        deadline = _Deadline(timeout_s, budget)
+        deadline = _Deadline(budget)
         if isinstance(query, BGPQuery):
             joined = self._eval_cq(
                 query, deadline, _positional_names(query.head), metrics
@@ -231,9 +218,9 @@ class NativeEngine:
             )
         return result
 
-    def count(self, query, timeout_s: Optional[float] = None) -> int:
+    def count(self, query, budget=None) -> int:
         """Number of distinct answers."""
-        return len(self.evaluate_relation(query, timeout_s=timeout_s))
+        return len(self.evaluate_relation(query, budget=budget))
 
     def explain(self, query) -> str:
         """A human-readable sketch of the plan this engine would run.

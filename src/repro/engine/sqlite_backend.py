@@ -13,20 +13,16 @@ failed on its large-reformulation queries.  Such failures surface as
 Concurrency model
 -----------------
 
-One engine may be driven by many threads at once (the
-:mod:`repro.parallel` worker pool evaluates partitioned union-term
-batches concurrently).  SQLite connections must not be shared across
+One engine may be driven by many threads at once (the service's
+:class:`~repro.service.pool.WorkerPool` runs concurrent requests on
+one shared answerer).  SQLite connections must not be shared across
 threads mid-statement, so the engine keeps a **per-thread connection
 pool**: each thread lazily opens its own connection on first use, loads
 (or, for file-backed stores, observes) the triple data, and caches it
 thread-locally.  Every pooled connection tracks the
 :attr:`~repro.storage.triple_table.TripleTable.version` it last loaded
-and refreshes independently when the store mutates, so a stale worker
+and refreshes independently when the store mutates, so a stale thread
 can never serve pre-mutation rows.  ``close()`` drains the whole pool.
-
-SQLite releases the GIL while stepping a statement, so concurrent
-batches genuinely overlap on multi-core hosts — this engine is the one
-the parallel speedup benchmark exercises.
 """
 
 from __future__ import annotations
@@ -186,18 +182,17 @@ class SQLiteEngine:
     def evaluate(
         self,
         query,
-        timeout_s: Optional[float] = None,
+        budget=None,
         tracer=None,
         metrics: Optional[MetricsRecorder] = None,
-        budget=None,
     ) -> AnswerSet:
         """Evaluate and decode answers (a set of tuples of RDF terms).
 
         SQLite's internal operators are opaque, so telemetry records the
         SQL boundary instead: compile/execute spans, statement size, and
         fetched-row counters.  A ``budget``
-        (:class:`repro.resilience.ExecutionBudget`) supersedes
-        ``timeout_s`` and additionally caps the fetched result size.
+        (:class:`repro.resilience.ExecutionBudget`) bounds the statement
+        by its deadline, and both its row caps bound the fetched rows.
         """
         tracer = NULL_TRACER if tracer is None else tracer
         started = time.perf_counter()
@@ -207,7 +202,7 @@ class SQLiteEngine:
             span.set(sql_chars=len(sql), cached=self.sql_cache.hits > hits_before)
         with tracer.span("sqlite.execute", sql_chars=len(sql)) as span:
             execute_started = time.perf_counter()
-            rows = self.execute_sql(sql, timeout_s, budget=budget)
+            rows = self.execute_sql(sql, budget)
             span.set(rows=len(rows))
         get_registry().histogram(
             "repro.sqlite.execute_seconds",
@@ -217,12 +212,18 @@ class SQLiteEngine:
             metrics.inc("sqlite.statements")
             metrics.inc("sqlite.sql_chars", len(sql))
             metrics.inc("sqlite.rows_fetched", len(rows))
-        result_cap = None if budget is None else budget.max_result_rows
-        if result_cap is not None and len(rows) > result_cap:
-            raise EngineFailure(
-                f"result of {len(rows)} rows exceeds the budget's "
-                f"max_result_rows={result_cap}"
-            )
+        if budget is not None:
+            # The fetched rows are the one relation this engine
+            # materializes, so both row caps apply to them.
+            for cap, kind in (
+                (budget.max_result_rows, "max_result_rows"),
+                (budget.max_intermediate_rows, "max_intermediate_rows"),
+            ):
+                if cap is not None and len(rows) > cap:
+                    raise EngineFailure(
+                        f"result of {len(rows)} rows exceeds the budget's "
+                        f"{kind}={cap}"
+                    )
         if getattr(query, "arity", None) == 0:
             # Boolean query: the SQL emits a marker column instead of an
             # (invalid) empty select list.
@@ -237,16 +238,14 @@ class SQLiteEngine:
         ).observe(time.perf_counter() - started)
         return answers
 
-    def count(self, query, timeout_s: Optional[float] = None) -> int:
+    def count(self, query, budget=None) -> int:
         """Number of distinct answers."""
-        rows = self.execute_sql(self._compile(query), timeout_s)
-        return len(rows)
+        return len(self.execute_sql(self._compile(query), budget))
 
-    def execute_sql(self, sql: str, timeout_s: Optional[float] = None, budget=None):
+    def execute_sql(self, sql: str, budget=None):
         """Run SQL text; engine errors become :class:`EngineFailure`.
 
-        The deadline — the budget's shared one when given, else a fresh
-        ``timeout_s`` one — is enforced cooperatively: the progress
+        The budget's deadline is enforced cooperatively: the progress
         handler runs every :attr:`progress_interval` VM instructions
         and a non-zero return cancels the running statement.  Whether a
         statement was interrupted is tracked by an explicit flag the
@@ -257,30 +256,16 @@ class SQLiteEngine:
         state = self._acquire()
         connection = state.raw
         interrupted = [False]
-        if budget is not None:
-            budget = budget.start()
-            if budget.timeout_s is not None or getattr(budget, "cancellable", False):
-
-                def check() -> int:
-                    if budget.expired:
-                        interrupted[0] = True
-                        return 1
-                    return 0
-
-            else:
-                check = None
-        elif timeout_s is not None:
-            deadline = time.perf_counter() + timeout_s
+        deadline = None
+        if budget is not None and budget.timeout_s is not None:
+            deadline = budget.start()
 
             def check() -> int:
-                if time.perf_counter() > deadline:
+                if deadline.expired:
                     interrupted[0] = True
                     return 1
                 return 0
 
-        else:
-            check = None
-        if check is not None:
             connection.set_progress_handler(check, self.progress_interval)
         try:
             cursor = connection.execute(sql)
@@ -292,7 +277,7 @@ class SQLiteEngine:
         except sqlite3.Error as error:
             raise EngineFailure(f"SQLite failed: {error}") from error
         finally:
-            if check is not None:
+            if deadline is not None:
                 connection.set_progress_handler(None, 0)
 
     def explain(self, query) -> str:

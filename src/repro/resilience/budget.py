@@ -164,10 +164,11 @@ class ExecutionBudget:
     ) -> Optional["ExecutionBudget"]:
         """The caller's budget, or one derived from a bare ``timeout_s``.
 
-        The adapter every layer uses to keep accepting the legacy
-        ``timeout_s`` argument: an explicit budget wins; otherwise a
-        bare timeout becomes a deadline-only budget; otherwise ``None``
-        (no limits).
+        The API edge (:meth:`~repro.answering.QueryAnswerer.answer`
+        and ``answer_resilient``) accepts a bare ``timeout_s`` through
+        this adapter; below it, every layer takes the budget alone.  An
+        explicit budget wins; otherwise a bare timeout becomes a
+        deadline-only budget; otherwise ``None`` (no limits).
         """
         if budget is not None:
             return budget

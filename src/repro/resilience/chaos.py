@@ -85,9 +85,10 @@ class ChaosEngine:
         self.config = config if config is not None else ChaosConfig()
         self._rng = random.Random(self.config.seed)
         #: Guards the RNG and the fault accounting: a draw is *three*
-        #: RNG values plus a ``max_faults`` check, and parallel batch
-        #: evaluations must not interleave the triple (which would
-        #: desynchronize the seeded stream mid-call).
+        #: RNG values plus a ``max_faults`` check, and concurrent
+        #: callers (service requests sharing one answerer) must not
+        #: interleave the triple (which would desynchronize the seeded
+        #: stream mid-call).
         self._lock = threading.Lock()
         #: Total faults raised so far (bounded by ``max_faults``).
         self.faults_injected = 0
@@ -145,14 +146,7 @@ class ChaosEngine:
     # ------------------------------------------------------------------
     # Engine protocol
     # ------------------------------------------------------------------
-    def evaluate(
-        self,
-        query,
-        timeout_s: Optional[float] = None,
-        tracer=None,
-        metrics=None,
-        budget=None,
-    ):
+    def evaluate(self, query, budget=None, tracer=None, metrics=None):
         plan = self._draw(query)
         if plan["slow"]:
             self._record("slow", query, metrics)
@@ -166,8 +160,7 @@ class ChaosEngine:
             error.transient = self.config.transient
             raise error
         answers = self.engine.evaluate(
-            query, timeout_s=timeout_s, tracer=tracer, metrics=metrics,
-            budget=budget,
+            query, budget=budget, tracer=tracer, metrics=metrics
         )
         if plan["failure"]:
             # Mid-evaluation fault: the work was done, the rows are
@@ -181,9 +174,9 @@ class ChaosEngine:
             raise error
         return answers
 
-    def count(self, query, timeout_s: Optional[float] = None) -> int:
+    def count(self, query, budget=None) -> int:
         """Delegated clean (diagnostics helper, not an answering path)."""
-        return self.engine.count(query, timeout_s=timeout_s)
+        return self.engine.count(query, budget=budget)
 
     def explain(self, query) -> str:
         return self.engine.explain(query)

@@ -8,7 +8,7 @@ Dataflow of one ``POST /query``::
 
 The event loop only parses HTTP and arbitrates admission; every
 blocking step — query parsing, planning, evaluation — runs on the
-shared :class:`~repro.parallel.WorkerPool`, so N concurrent clients
+shared :class:`~repro.service.pool.WorkerPool`, so N concurrent clients
 multiplex onto one bounded set of threads instead of each connection
 spawning its own.  Backpressure is explicit: when the number of
 accepted-but-not-yet-executing requests reaches
@@ -44,7 +44,6 @@ from typing import Any, Dict, Mapping, Optional, Set, Tuple, Union
 from ..answering import STRATEGIES, QueryAnswerer
 from ..engine.evaluator import EngineFailure, EngineTimeout
 from ..optimizer.search import SearchInfeasible
-from ..parallel import WorkerPool
 from ..query.parser import parse_query
 from ..reformulation.reformulate import ReformulationLimitExceeded
 from ..resilience.errors import (
@@ -61,6 +60,7 @@ from .http import (
     read_request,
     write_response,
 )
+from .pool import WorkerPool
 from .tenants import QuotaExceeded, Tenant, TenantRegistry, UnknownTenant
 
 #: Histogram buckets for service latencies: the default operator-scale
@@ -197,6 +197,16 @@ class QueryService:
             help="queries executing on the service worker pool",
         )
         registry.register_gauge(
+            "repro.worker_pool.max_workers",
+            lambda: self.pool.max_workers,
+            help="configured width of the service's execution pool",
+        )
+        registry.register_gauge(
+            "repro.worker_pool.in_flight",
+            self.pool.in_flight,
+            help="execution-pool tasks submitted but not yet finished",
+        )
+        registry.register_gauge(
             "repro.service.draining",
             lambda: 1 if self._draining else 0,
             help="1 while a graceful drain is in progress",
@@ -328,12 +338,10 @@ class QueryService:
         self.close()
 
     def close(self) -> None:
-        """Release the owned execution pool and the owned answerers'
-        resources (idempotent; shared pools are left alone)."""
+        """Release the owned execution pool (idempotent; a shared pool
+        is left alone)."""
         if self._owns_pool:
             self.pool.shutdown()
-        for answerer in self._answerers.values():
-            answerer.close()
 
     @property
     def url(self) -> str:

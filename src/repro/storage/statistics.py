@@ -36,7 +36,7 @@ from .triple_table import Pattern, TripleTable
 class TableStatistics:
     """Memoizing statistics facade over a :class:`TripleTable`.
 
-    Reads are thread-safe: parallel evaluation workers probe the same
+    Reads are thread-safe: concurrent requests probe the same
     statistics while ordering joins, and the clear-and-rebuild sync on
     version mismatch must not interleave with another thread's memo
     read (a probe could otherwise cache a *pre*-mutation count under the

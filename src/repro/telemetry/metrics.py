@@ -11,8 +11,8 @@ All operators accept ``metrics=None`` and skip recording entirely in
 that case, so the untraced hot path pays one ``is None`` test per
 operator call.
 
-One recorder may be shared by several worker threads (the parallel
-evaluator threads a single recorder through every batch), so every
+One recorder may be shared by several threads (the service bumps its
+request counters from every execution-pool worker), so every
 read-modify-write — ``inc``'s fetch-add, ``append``'s setdefault,
 ``merge``'s fold — happens under a per-recorder lock; unsynchronized
 counters would silently lose increments under concurrent bumps.

@@ -7,12 +7,11 @@ per-call counters that travel with one answer report, the
 
 * :class:`Histogram` — fixed-bucket latency distributions with
   p50/p90/p99 quantile estimation, bumped on the hot path by the
-  answerer, both engines, the parallel evaluator and the fallback
-  ladder;
+  answerer, both engines, the service and the fallback ladder;
 * :class:`Gauge` / :class:`MultiGauge` — callbacks sampled at read
   time, surfacing otherwise-hidden runtime state (cache fill, SQLite
-  connection-pool size, circuit-breaker states, worker-pool occupancy,
-  reformulator-memo size);
+  connection-pool size, circuit-breaker states, the service's
+  execution-pool width and occupancy, reformulator-memo size);
 * counter *sources* — callables returning monotone counter mappings
   (e.g. the answerer's resilience counters), re-read per export.
 

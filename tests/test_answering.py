@@ -94,4 +94,4 @@ class TestOtherEngines:
         report = answerer.answer(query, strategy="saturation")
         assert report.answers == ground_truth(query)
         # The saturated engine keeps the same personality.
-        assert answerer._saturated_engine.profile is NATIVE_MERGE
+        assert answerer.engine_for("saturation").profile is NATIVE_MERGE

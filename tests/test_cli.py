@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import re
 import sys
 
 import pytest
@@ -162,6 +163,29 @@ class TestExplain:
         assert code == 0
         assert "SELECT DISTINCT" in out
         assert "FROM triples" in out
+
+    @pytest.mark.parametrize("strategy", ("saturation", "litemat"))
+    def test_derived_store_estimates_are_non_zero(self, dataset, capsys, strategy):
+        """Explain plans over the strategy's derived store: Person has
+        no asserted instances, only entailed ones."""
+        code, out, _ = run_cli(
+            [
+                "explain",
+                str(dataset),
+                "-q",
+                "SELECT ?x WHERE { ?x a ub:Person . }",
+                "--prefix",
+                f"ub={UB}",
+                "--strategy",
+                strategy,
+            ],
+            capsys,
+        )
+        assert code == 0
+        estimates = [
+            int(count) for count in re.findall(r"(?:~|scan volume )(\d+) tuples", out)
+        ]
+        assert estimates and all(count > 0 for count in estimates), out
 
 
 class TestProfile:

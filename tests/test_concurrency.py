@@ -1,0 +1,324 @@
+"""Concurrency of the shared machinery the query service runs on.
+
+The service (DESIGN.md §11, §14) executes requests on one
+:class:`~repro.service.pool.WorkerPool` against shared answerers, so
+everything below them — SQLite's per-thread connections, the
+dictionary, the tracer, the caches — must stay correct under many
+threads, and a shared answerer must give every thread the serial
+oracle's answers.
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+
+import pytest
+
+from oracle import differential_check, make_answerer, random_queries
+from repro.cache import QueryCache
+from repro.engine import EngineFailure, EngineTimeout, SQLiteEngine
+from repro.query import BGPQuery
+from repro.rdf import Literal, RDF_TYPE, Triple, URI, Variable
+from repro.resilience import ExecutionBudget
+from repro.service.pool import WorkerPool, default_workers
+from repro.storage import RDFDatabase
+from repro.telemetry import Tracer
+
+
+def ex(name: str) -> URI:
+    return URI(f"http://ex/{name}")
+
+
+def _scripted_clock(values):
+    """A clock returning ``values`` in order, then the last one forever."""
+    state = list(values)
+
+    def clock() -> float:
+        if len(state) > 1:
+            return state.pop(0)
+        return state[0]
+
+    return clock
+
+
+# ----------------------------------------------------------------------
+# WorkerPool
+# ----------------------------------------------------------------------
+class TestWorkerPool:
+    def test_default_width_is_cpu_count(self):
+        assert WorkerPool().max_workers == default_workers()
+        assert WorkerPool(0).max_workers == default_workers()
+        assert WorkerPool(3).max_workers == 3
+
+    def test_negative_width_rejected(self):
+        with pytest.raises(ValueError):
+            WorkerPool(-1)
+
+    def test_lazy_start_and_submit(self):
+        pool = WorkerPool(2)
+        assert not pool.started
+        try:
+            assert pool.submit(lambda: 6 * 7).result() == 42
+            assert pool.started
+        finally:
+            pool.shutdown()
+
+    def test_submit_after_shutdown_raises(self):
+        pool = WorkerPool(1)
+        pool.submit(lambda: None).result()
+        pool.shutdown()
+        with pytest.raises(RuntimeError):
+            pool.submit(lambda: None)
+
+    def test_context_manager_shuts_down(self):
+        with WorkerPool(1) as pool:
+            assert pool.submit(lambda: "ok").result() == "ok"
+        with pytest.raises(RuntimeError):
+            pool.submit(lambda: None)
+
+
+# ----------------------------------------------------------------------
+# 8-thread differential-oracle stress on one shared answerer
+# ----------------------------------------------------------------------
+def _stress(answerer, lubm_db, threads: int = 8, queries_per_thread: int = 3):
+    """Hammer one shared answerer from many threads; collect failures."""
+    errors = []
+    barrier = threading.Barrier(threads)
+
+    def worker(seed: int) -> None:
+        try:
+            barrier.wait(timeout=30)
+            for query in random_queries(
+                lubm_db, queries_per_thread, seed=seed, max_atoms=2
+            ):
+                differential_check(answerer, query, label=f"t{seed}:{query.name}")
+        except Exception as error:  # noqa: BLE001 — surfaced below
+            errors.append(error)
+
+    pool = [
+        threading.Thread(target=worker, args=(seed,), name=f"stress-{seed}")
+        for seed in range(threads)
+    ]
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join(timeout=120)
+    assert not errors, f"{len(errors)} thread(s) failed; first: {errors[0]!r}"
+
+
+def test_stress_eight_threads_cold(lubm_db):
+    _stress(make_answerer(lubm_db), lubm_db)
+
+
+def test_stress_eight_threads_warm_cache(lubm_db):
+    answerer = make_answerer(lubm_db, cache=QueryCache())
+    # Warm the cache once so the threads race on *hits* too.
+    for query in random_queries(lubm_db, 3, seed=0, max_atoms=2):
+        differential_check(answerer, query)
+    _stress(answerer, lubm_db)
+
+
+# ----------------------------------------------------------------------
+# SQLite per-thread connection pool
+# ----------------------------------------------------------------------
+def _small_db() -> RDFDatabase:
+    database = RDFDatabase()
+    database.schema.add_subclass(ex("Book"), ex("Publication"))
+    database.load_facts(
+        [Triple(ex(f"doc{i}"), RDF_TYPE, ex("Book")) for i in range(5)]
+    )
+    return database
+
+
+class TestSQLiteConnectionPool:
+    def test_each_thread_gets_its_own_connection(self):
+        engine = SQLiteEngine(_small_db())
+        try:
+            main_connection = engine.connection
+            seen = []
+
+            def probe() -> None:
+                seen.append(engine.connection)
+
+            thread = threading.Thread(target=probe)
+            thread.start()
+            thread.join()
+            assert seen[0] is not main_connection
+            assert engine.pool_size() == 2
+        finally:
+            engine.close()
+
+    def test_closed_engine_refuses_work(self):
+        engine = SQLiteEngine(_small_db())
+        engine.close()
+        with pytest.raises(EngineFailure, match="closed"):
+            engine.execute_sql("SELECT 1")
+
+    def test_connections_refresh_after_mutation(self):
+        database = _small_db()
+        engine = SQLiteEngine(database)
+        x = Variable("x")
+        query = BGPQuery([x], [Triple(x, RDF_TYPE, ex("Book"))], name="books")
+        try:
+            assert len(engine.evaluate(query)) == 5
+
+            worker_counts = []
+
+            def worker_eval() -> None:
+                worker_counts.append(len(engine.evaluate(query)))
+
+            thread = threading.Thread(target=worker_eval)
+            thread.start()
+            thread.join()
+            assert worker_counts == [5]
+
+            database.load_facts([Triple(ex("doc99"), RDF_TYPE, ex("Book"))])
+            # Both the other thread's connection and the main thread's
+            # must observe the new version independently.
+            assert len(engine.evaluate(query)) == 6
+            thread = threading.Thread(target=worker_eval)
+            thread.start()
+            thread.join()
+            assert worker_counts[-1] == 6
+        finally:
+            engine.close()
+
+    def test_interrupted_literal_is_not_a_timeout(self):
+        """Regression: "interrupted" in an error message must not be
+        misclassified as a timeout (the old substring check did)."""
+        engine = SQLiteEngine(_small_db())
+        try:
+            with pytest.raises(EngineFailure) as excinfo:
+                engine.execute_sql(
+                    "SELECT * FROM missing_interrupted_table",
+                    ExecutionBudget(timeout_s=60.0),
+                )
+            assert "interrupted" in str(excinfo.value)
+            assert not isinstance(excinfo.value, EngineTimeout)
+        finally:
+            engine.close()
+
+    def test_genuine_interrupt_is_a_timeout(self):
+        engine = SQLiteEngine(_small_db())
+        engine.progress_interval = 1
+        budget = ExecutionBudget(
+            timeout_s=1.0, clock=_scripted_clock([0.0, 100.0])
+        )
+        try:
+            with pytest.raises(EngineTimeout):
+                engine.execute_sql(
+                    "SELECT a.s FROM triples a, triples b, triples c", budget
+                )
+        finally:
+            engine.close()
+
+    def test_concurrent_evaluation_shares_one_engine(self, lubm_db):
+        engine = SQLiteEngine(lubm_db)
+        x = Variable("x")
+        some_class = sorted(lubm_db.schema.classes, key=str)[0]
+        query = BGPQuery([x], [Triple(x, RDF_TYPE, some_class)], name="probe")
+        expected = engine.evaluate(query)
+        results, errors = [], []
+
+        def worker() -> None:
+            try:
+                results.append(engine.evaluate(query))
+            except Exception as error:  # noqa: BLE001 — surfaced below
+                errors.append(error)
+
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert not errors
+            assert all(result == expected for result in results)
+            assert engine.pool_size() == 9  # 8 threads + constructor thread
+        finally:
+            engine.close()
+
+
+# ----------------------------------------------------------------------
+# Dictionary: incremental stats + concurrent encode
+# ----------------------------------------------------------------------
+class TestDictionaryConcurrency:
+    def test_stats_track_kinds_incrementally(self):
+        dictionary = RDFDatabase().dictionary
+        before = dictionary.stats()
+        dictionary.encode(ex("a"))
+        dictionary.encode(ex("b"))
+        dictionary.encode(Literal("l"))
+        dictionary.encode(ex("a"))  # duplicate: no recount
+        after = dictionary.stats()
+        assert after["uris"] - before["uris"] == 2
+        assert after["literals"] - before["literals"] == 1
+        assert after["blank_nodes"] == before["blank_nodes"]
+
+    def test_concurrent_encode_is_consistent(self):
+        dictionary = RDFDatabase().dictionary
+        size_before = len(dictionary)
+        terms = [ex(f"t{i}") for i in range(200)] + [
+            Literal(f"v{i}") for i in range(100)
+        ]
+        codes_by_thread = []
+        barrier = threading.Barrier(8)
+
+        def worker() -> None:
+            barrier.wait(timeout=30)
+            codes_by_thread.append([dictionary.encode(t) for t in terms])
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(codes_by_thread) == 8
+        # Every thread observed the same code for every term.
+        assert all(codes == codes_by_thread[0] for codes in codes_by_thread)
+        assert len(set(codes_by_thread[0])) == len(terms)
+        assert len(dictionary) - size_before == len(terms)
+        for term, code in zip(terms, codes_by_thread[0]):
+            assert dictionary.decode(code) == term
+        stats = dictionary.stats()
+        assert stats["uris"] >= 200 and stats["literals"] >= 100
+
+
+# ----------------------------------------------------------------------
+# Tracer: thread isolation, timing discipline
+# ----------------------------------------------------------------------
+class TestTracerThreading:
+    def test_concurrent_spans_stay_thread_local(self):
+        tracer = Tracer()
+        barrier = threading.Barrier(6)
+
+        def worker(index: int) -> None:
+            barrier.wait(timeout=30)
+            with tracer.span(f"outer-{index}"):
+                with tracer.span(f"inner-{index}"):
+                    pass
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(tracer.roots) == 6
+        for root in tracer.roots:
+            assert len(root.children) == 1
+            index = root.name.split("-")[1]
+            assert root.children[0].name == f"inner-{index}"
+
+    def test_duration_survives_wall_clock_step(self, monkeypatch):
+        """Regression: durations come from the monotonic clock, so a
+        wall-clock step backwards mid-span cannot go negative."""
+        tracer = Tracer()
+        wall = _scripted_clock([1000.0, 500.0, 400.0])
+        monkeypatch.setattr(time, "time", wall)
+        with tracer.span("stepped") as span:
+            pass
+        assert span.duration_s >= 0.0
+        assert span.start_unix == 1000.0

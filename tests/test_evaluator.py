@@ -14,6 +14,7 @@ from repro.engine import (
 )
 from repro.query import BGPQuery, JUCQ, UCQ, evaluate
 from repro.rdf import RDFGraph, RDF_TYPE, Triple, URI, Variable
+from repro.resilience import ExecutionBudget
 from repro.storage import RDFDatabase
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -145,7 +146,7 @@ class TestProfiles:
         engine = NativeEngine(db)
         q = BGPQuery([x, y], [Triple(x, u("p"), y)])
         with pytest.raises(EngineTimeout):
-            engine.evaluate(q, timeout_s=-1.0)
+            engine.evaluate(q, budget=ExecutionBudget(timeout_s=-1.0))
 
     def test_unknown_query_type(self, db):
         with pytest.raises(TypeError):

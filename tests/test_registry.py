@@ -15,6 +15,7 @@ import pytest
 from repro.answering import QueryAnswerer
 from repro.engine import NativeEngine
 from repro.query import parse_query
+from repro.service import QueryService, ServiceConfig
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS_S,
     Histogram,
@@ -217,8 +218,6 @@ class TestAnswererInstruments:
         gauges = {sample["name"] for sample in answered_registry.gauge_samples()}
         assert {
             "repro.reformulator.memo_size",
-            "repro.worker_pool.max_workers",
-            "repro.worker_pool.in_flight",
             "repro.engine.connection_pool_size",
             "repro.breaker.circuits",
         } <= gauges
@@ -236,3 +235,23 @@ class TestAnswererInstruments:
             name_and_labels, _, value = line.rpartition(" ")
             assert name_and_labels
             float(value)  # every sample line ends in a number
+
+
+class TestServiceInstruments:
+    def test_worker_pool_gauges_track_the_service_pool(self, lubm_db):
+        registry = MetricsRegistry()
+        answerer = QueryAnswerer(
+            lubm_db, engine=NativeEngine(lubm_db), registry=registry
+        )
+        service = QueryService(
+            answerer, config=ServiceConfig(workers=2), registry=registry
+        )
+        try:
+            gauges = {
+                sample["name"]: sample["value"]
+                for sample in registry.gauge_samples()
+            }
+            assert gauges["repro.worker_pool.max_workers"] == 2
+            assert gauges["repro.worker_pool.in_flight"] == 0
+        finally:
+            service.close()

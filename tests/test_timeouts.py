@@ -17,10 +17,17 @@ import pytest
 
 from repro.answering import QueryAnswerer
 from repro.datasets import lubm_query, lubm_workload
-from repro.engine import EngineTimeout, NativeEngine, SQLiteEngine
+from repro.engine import (
+    NATIVE_HASH,
+    NATIVE_MERGE,
+    EngineFailure,
+    EngineTimeout,
+    NativeEngine,
+    SQLiteEngine,
+)
 from repro.query import BGPQuery
 from repro.rdf import RDF_TYPE, Triple, URI, Variable
-from repro.resilience import ExecutionBudget
+from repro.resilience import ChaosConfig, ChaosEngine, ExecutionBudget
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 UB = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#"
@@ -124,11 +131,16 @@ class TestSQLiteProgressHandler:
         with pytest.raises(EngineTimeout):
             engine.evaluate(two_atom_query(), budget=budget)
 
-    def test_legacy_timeout_s_interrupts_statement(self, lubm_db3):
+    def test_already_expired_budget_interrupts_statement(self, lubm_db3):
+        """A running budget whose deadline passed before the call."""
         engine = SQLiteEngine(lubm_db3)
         engine.progress_interval = 1
+        budget = ExecutionBudget(
+            timeout_s=1.0, clock=ScriptedClock(0.0, 100.0)
+        ).start()
+        assert budget.expired
         with pytest.raises(EngineTimeout):
-            engine.evaluate(two_atom_query(), timeout_s=-1.0)
+            engine.evaluate(two_atom_query(), budget=budget)
 
     def test_connection_usable_after_interrupt(self, lubm_db3):
         """An interrupted statement leaves the same connection healthy."""
@@ -167,3 +179,51 @@ class TestSQLiteProgressHandler:
         engine.progress_interval = 100_000
         report = answerer.answer(query, strategy="gcov")
         assert report.answers is not None
+
+
+def _protocol_engine(kind: str, database):
+    if kind == "native-hash":
+        return NativeEngine(database, NATIVE_HASH)
+    if kind == "native-merge":
+        return NativeEngine(database, NATIVE_MERGE)
+    if kind == "sqlite":
+        engine = SQLiteEngine(database)
+        # Every VM instruction reaches the deadline checkpoint.
+        engine.progress_interval = 1
+        return engine
+    return ChaosEngine(NativeEngine(database), ChaosConfig())
+
+
+#: (budget factory, raised type, message pattern) per budget axis.
+_PROTOCOL_CASES = {
+    "expired-deadline": (
+        lambda: ExecutionBudget(timeout_s=1.0, clock=ScriptedClock(0.0, 100.0)),
+        EngineTimeout,
+        None,
+    ),
+    "result-cap": (
+        lambda: ExecutionBudget(max_result_rows=1),
+        EngineFailure,
+        "max_result_rows",
+    ),
+    "intermediate-cap": (
+        lambda: ExecutionBudget(max_intermediate_rows=1),
+        EngineFailure,
+        "exceeds",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PROTOCOL_CASES))
+@pytest.mark.parametrize("kind", ("native-hash", "native-merge", "sqlite", "chaos"))
+def test_engine_protocol_enforces_budget(lubm_db3, kind, case):
+    """Every engine takes ``evaluate(query, budget=...)`` and enforces
+    each budget axis the same way through the answerer."""
+    make_budget, raised, pattern = _PROTOCOL_CASES[case]
+    answerer = QueryAnswerer(lubm_db3, engine=_protocol_engine(kind, lubm_db3))
+    query = two_atom_query()
+    assert len(answerer.answer(query, strategy="ucq").answers) >= 2
+    with pytest.raises(raised, match=pattern) as excinfo:
+        answerer.answer(query, strategy="ucq", budget=make_budget())
+    if raised is not EngineTimeout:
+        assert not isinstance(excinfo.value, EngineTimeout)
